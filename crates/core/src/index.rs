@@ -34,13 +34,35 @@
 //!   scanning all active instructions.
 //! * **Eligible-head cursor** — the oldest non-blocked entry, for FCFS
 //!   (and batching fallbacks) in O(1).
-//! * **Starved set** — the handles whose bypass count crossed the aging
-//!   threshold. Bypass counters only move in
-//!   [`age_prefix`](Self::age_prefix), so membership is maintained there
-//!   and on eligibility changes.
+//! * **Aging carries** — starvation state in O(1) per operation, with no
+//!   per-entry counter (see below).
 //! * **Page chains** — all pending entries of one page, in arrival order.
 //!   Walk completion drains exactly the same-page chain instead of
 //!   scanning the whole buffer.
+//!
+//! # Aging
+//!
+//! A pick bypasses every eligible entry older than it; an entry bypassed
+//! `threshold` times is *starved* and pre-empts aging-honoring policies.
+//! Among eligible entries the bypass count never increases with arrival
+//! order: a pick that bypasses an eligible entry also bypasses every older
+//! eligible one, which was already pending then and was eligible too
+//! (eligibility only ever goes from eligible to blocked). So the starved
+//! entries are always the oldest eligible ones, the oldest starved entry
+//! is the cursor, and only the cursor's count ever drives a decision.
+//!
+//! The index therefore keeps the cursor's count, `head_bypass`, plus a
+//! per-handle `carry`: bypasses owed to every entry at or older than that
+//! handle. An entry's count is the sum of the carries at or younger than
+//! it, which nothing on the hot path ever computes:
+//!
+//! * a pick of `c` other than the cursor adds one to `head_bypass` and to
+//!   the carry of `c`'s predecessor;
+//! * removing `x`, for any reason, adds `x`'s carry to its predecessor's;
+//! * moving the cursor forward subtracts the carry of every entry it
+//!   passes, the old cursor included — the carries it leaves behind are
+//!   owed only to older entries. The cursor walks those entries anyway, so
+//!   this stays O(1) amortised.
 //!
 //! The index never decides anything by itself: [`Scheduler::
 //! select_in_buffer_indexed`](crate::sched::Scheduler::select_in_buffer_indexed)
@@ -56,6 +78,9 @@
 //!   blocked state (page already inflight);
 //! * [`on_rescore`](Self::on_rescore) when an instruction's pending chain
 //!   is rescored to a new shared score;
+//! * [`on_pick`](Self::on_pick) for every selected entry, whichever path
+//!   selected it (the window scan keeps its own per-entry counters as the
+//!   reference, and calls this too), before removing it;
 //! * [`block_page`](Self::block_page) when a walk starts on a page (after
 //!   removing the started entry itself);
 //! * [`pre_remove`](Self::pre_remove) *before* and
@@ -231,8 +256,10 @@ struct HandleMeta {
     /// Same-page chain links (arrival order within the page).
     page_prev: u32,
     page_next: u32,
-    /// Position in the starved list, or `NIL`.
-    starved_pos: u32,
+    /// Bypasses owed to every entry at or older than this one (see the
+    /// module docs). At most the number of walks started so far; 32 bits
+    /// keep this struct at 16 bytes.
+    carry: u32,
 }
 
 const EMPTY_META: HandleMeta = HandleMeta {
@@ -240,7 +267,7 @@ const EMPTY_META: HandleMeta = HandleMeta {
     in_window: false,
     page_prev: NIL,
     page_next: NIL,
-    starved_pos: NIL,
+    carry: 0,
 };
 
 /// Aggregates over one instruction's *eligible in-window* entries.
@@ -342,13 +369,14 @@ pub struct CandidateIndex {
     /// Oldest non-blocked entry in arrival order, window or not (`NIL`
     /// when every pending entry is blocked). The FCFS pick when in-window.
     cursor: u32,
+    /// The cursor's bypass count: the sum of the carries at or younger
+    /// than it (0 when there is no cursor).
+    head_bypass: u64,
     /// Per-instruction aggregates, direct-indexed by raw id.
     instr: Vec<InstrAgg>,
     /// Raw ids of active instructions (unordered, swap-removed).
     active: Vec<u32>,
     buckets: ScoreBuckets,
-    /// Handles with `bypassed >= threshold` (always eligible in-window).
-    starved: Vec<u32>,
     pages: PageMap,
     pending_remove: Option<PendingRemove>,
 }
@@ -365,10 +393,10 @@ impl CandidateIndex {
             win_count: 0,
             elig_count: 0,
             cursor: NIL,
+            head_bypass: 0,
             instr: Vec::new(),
             active: Vec::new(),
             buckets: ScoreBuckets::default(),
-            starved: Vec::new(),
             pages: PageMap::with_capacity(1024),
             pending_remove: None,
         }
@@ -422,6 +450,7 @@ impl CandidateIndex {
         }
 
         if !blocked && self.cursor == NIL {
+            debug_assert_eq!(self.head_bypass, 0, "no cursor, yet a head count");
             self.cursor = handle;
         }
         if self.win_count < self.window_cap {
@@ -429,7 +458,7 @@ impl CandidateIndex {
             self.win_count += 1;
             self.win_tail = handle;
             if !blocked {
-                self.agg_add(handle, r.instr.raw(), r.seq, r.score, r.bypassed);
+                self.agg_add(handle, r.instr.raw(), r.seq, r.score);
             }
         }
     }
@@ -478,7 +507,7 @@ impl CandidateIndex {
                 self.agg_remove(buf, h as u32, r.instr.raw());
             }
             if self.cursor == h as u32 {
-                self.advance_cursor_from(buf, buf.next(h as u32));
+                self.advance_cursor(buf);
             }
         }
     }
@@ -520,12 +549,17 @@ impl CandidateIndex {
             self.agg_remove(buf, handle, r.instr.raw());
         }
         if self.cursor == handle {
-            self.advance_cursor_from(buf, buf.next(handle));
+            self.advance_cursor(buf);
+        }
+        // The carry stays owed to everything older: hand it down.
+        let prev = buf.prev(handle).unwrap_or(NIL);
+        if prev != NIL {
+            self.meta[prev as usize].carry += self.meta[h].carry;
         }
         self.pending_remove = Some(PendingRemove {
             in_window: self.meta[h].in_window,
             win_tail_base: if self.win_tail == handle {
-                buf.prev(handle).unwrap_or(NIL)
+                prev
             } else {
                 self.win_tail
             },
@@ -552,7 +586,7 @@ impl CandidateIndex {
                 self.win_tail = e;
                 if !m.blocked {
                     let r = buf.get(e);
-                    self.agg_add(e, r.instr.raw(), r.seq, r.score, r.bypassed);
+                    self.agg_add(e, r.instr.raw(), r.seq, r.score);
                 }
             }
             None => {
@@ -562,58 +596,17 @@ impl CandidateIndex {
         }
     }
 
-    /// Applies the aging bookkeeping of a successful pick: every eligible
-    /// entry older than `chosen_seq` was bypassed once. Entries crossing
-    /// the threshold join the starved set. Mirrors the one-pass scan's
-    /// post-pick loop (everything older than an in-window pick is itself
-    /// in the window — the window is an arrival-order prefix).
-    pub fn age_prefix<W>(&mut self, buf: &mut WalkBuffer<W>, chosen_seq: u64, honors_aging: bool) {
-        let mut cur = buf.first();
-        while let Some(h) = cur {
-            if buf.get(h).seq >= chosen_seq {
-                break;
-            }
-            cur = buf.next(h);
-            buf.prefetch(cur);
-            if self.meta[h as usize].blocked {
-                continue;
-            }
-            let r = buf.get_mut(h);
-            r.bypassed += 1;
-            if honors_aging {
-                debug_assert!(
-                    r.bypassed <= self.threshold,
-                    "request seq {} bypassed {} times, past the aging threshold {}",
-                    r.seq,
-                    r.bypassed,
-                    self.threshold,
-                );
-            }
-            if r.bypassed >= self.threshold && self.meta[h as usize].starved_pos == NIL {
-                self.starved_push(h);
-            }
+    /// Applies the aging bookkeeping of a pick: every eligible entry older
+    /// than `chosen` was bypassed once. Call while `chosen` is still in
+    /// the buffer. O(1): a pick of the cursor bypasses nothing; any other
+    /// pick bypasses the cursor and leaves one carry on its predecessor.
+    pub fn on_pick<W>(&mut self, buf: &WalkBuffer<W>, chosen: u32) {
+        if chosen == self.cursor {
+            return;
         }
-    }
-
-    /// Folds entries whose bypass counters were advanced *outside*
-    /// [`age_prefix`](Self::age_prefix) (the legacy scan's aging loop)
-    /// into the starved set: every candidate older than `chosen_seq` that
-    /// now sits at or past the threshold joins.
-    pub fn refresh_starved_below<W>(&mut self, buf: &WalkBuffer<W>, chosen_seq: u64) {
-        let mut cur = buf.first();
-        while let Some(h) = cur {
-            let r = buf.get(h);
-            if r.seq >= chosen_seq {
-                break;
-            }
-            cur = buf.next(h);
-            if self.meta[h as usize].blocked {
-                continue;
-            }
-            if r.bypassed >= self.threshold && self.meta[h as usize].starved_pos == NIL {
-                self.starved_push(h);
-            }
-        }
+        self.head_bypass += 1;
+        let prev = buf.prev(chosen).expect("the cursor precedes the pick");
+        self.meta[prev as usize].carry += 1;
     }
 
     // ------------------------------------------------------------------
@@ -621,9 +614,35 @@ impl CandidateIndex {
     // ------------------------------------------------------------------
 
     /// The oldest starved candidate, if any (pre-empts aging-honoring
-    /// policies).
-    pub fn oldest_starved<W>(&self, buf: &WalkBuffer<W>) -> Option<u32> {
-        self.starved.iter().copied().min_by_key(|&h| buf.get(h).seq)
+    /// policies): the cursor, once its count reaches the threshold.
+    pub fn starved_head(&self) -> Option<u32> {
+        self.fcfs_pick()
+            .filter(|_| self.head_bypass >= self.threshold)
+    }
+
+    /// The oldest eligible entry's bypass count, the largest of any
+    /// eligible entry's (0 when nothing is eligible).
+    pub fn head_bypass(&self) -> u64 {
+        self.head_bypass
+    }
+
+    /// Every pending entry's bypass count, in arrival order: the sum of
+    /// the carries at or younger than it. For an eligible entry this is
+    /// the number of younger picks that bypassed it. A blocked entry keeps
+    /// counting after its page went in flight: its count is the number of
+    /// picks of a younger entry, made while it was pending, that bypassed
+    /// some eligible entry. O(buffer); diagnostics and tests only.
+    pub fn bypass_counts<'a, W>(
+        &'a self,
+        buf: &'a WalkBuffer<W>,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let carry = move |h: u32| u64::from(self.meta[h as usize].carry);
+        let mut rest: u64 = buf.iter().map(|(h, _)| carry(h)).sum();
+        buf.iter().map(move |(h, _)| {
+            let count = rest;
+            rest -= carry(h);
+            count
+        })
     }
 
     /// The FCFS pick: the oldest eligible entry, when it is inside the
@@ -725,7 +744,7 @@ impl CandidateIndex {
     /// `handle` (of `raw`/`seq`/`score`) became a candidate: newly pushed
     /// in-window, or pulled into the window by a removal. In both cases it
     /// is the *youngest* of its instruction's candidates.
-    fn agg_add(&mut self, handle: u32, raw: u32, seq: u64, score: u32, bypassed: u64) {
+    fn agg_add(&mut self, handle: u32, raw: u32, seq: u64, score: u32) {
         self.elig_count += 1;
         let a = &mut self.instr[raw as usize];
         if a.count == 0 {
@@ -760,9 +779,6 @@ impl CandidateIndex {
                 a.max_handle = handle;
             }
         }
-        if bypassed >= self.threshold {
-            self.starved_push(handle);
-        }
     }
 
     /// `handle` stops being a candidate: it is being removed, or its page
@@ -770,7 +786,6 @@ impl CandidateIndex {
     /// its instruction chain (the chain walk skips it by handle).
     fn agg_remove<W>(&mut self, buf: &WalkBuffer<W>, handle: u32, raw: u32) {
         self.elig_count -= 1;
-        self.starved_remove(handle);
         let a = &mut self.instr[raw as usize];
         a.count -= 1;
         if a.count == 0 {
@@ -856,15 +871,21 @@ impl CandidateIndex {
         }
     }
 
-    fn advance_cursor_from<W>(&mut self, buf: &WalkBuffer<W>, mut cur: Option<u32>) {
-        while let Some(h) = cur {
-            if !self.meta[h as usize].blocked {
-                self.cursor = h;
-                return;
+    /// Moves the cursor (just blocked, or about to be removed) to the next
+    /// eligible entry, taking the carries it passes — its own included —
+    /// out of `head_bypass`: they are owed only to older entries.
+    fn advance_cursor<W>(&mut self, buf: &WalkBuffer<W>) {
+        let mut h = self.cursor;
+        loop {
+            self.head_bypass -= u64::from(self.meta[h as usize].carry);
+            match buf.next(h) {
+                Some(n) if self.meta[n as usize].blocked => h = n,
+                next => {
+                    self.cursor = next.unwrap_or(NIL);
+                    return;
+                }
             }
-            cur = buf.next(h);
         }
-        self.cursor = NIL;
     }
 
     fn bucket_insert(&mut self, raw: u32, score: u32) {
@@ -893,24 +914,6 @@ impl CandidateIndex {
         self.bucket_insert(raw, to);
     }
 
-    fn starved_push(&mut self, handle: u32) {
-        self.meta[handle as usize].starved_pos = self.starved.len() as u32;
-        self.starved.push(handle);
-    }
-
-    fn starved_remove(&mut self, handle: u32) {
-        let pos = self.meta[handle as usize].starved_pos;
-        if pos == NIL {
-            return;
-        }
-        self.meta[handle as usize].starved_pos = NIL;
-        self.starved.swap_remove(pos as usize);
-        if (pos as usize) < self.starved.len() {
-            let moved = self.starved[pos as usize];
-            self.meta[moved as usize].starved_pos = pos;
-        }
-    }
-
     /// Exhaustively recomputes every derived structure from the buffer and
     /// `inflight` pages and asserts it matches — the test-only consistency
     /// oracle. O(buffer²); never call on a hot path.
@@ -919,8 +922,9 @@ impl CandidateIndex {
         let mut elig = 0usize;
         let mut win = 0usize;
         let mut first_eligible = None;
+        let mut head_count = 0;
         let mut counts: HashMap<u32, u32> = HashMap::new();
-        for (pos, (h, r)) in buf.iter().enumerate() {
+        for (pos, ((h, r), bypassed)) in buf.iter().zip(self.bypass_counts(buf)).enumerate() {
             let m = &self.meta[h as usize];
             let inflight_now = inflight.iter().any(|&(p, _)| p == r.page.raw());
             assert_eq!(m.blocked, inflight_now, "blocked flag for seq {}", r.seq);
@@ -935,18 +939,11 @@ impl CandidateIndex {
             }
             if !m.blocked && first_eligible.is_none() {
                 first_eligible = Some(h);
+                head_count = bypassed;
             }
             if m.in_window && !m.blocked {
                 elig += 1;
                 *counts.entry(r.instr.raw()).or_insert(0) += 1;
-                assert_eq!(
-                    m.starved_pos != NIL,
-                    r.bypassed >= self.threshold,
-                    "starved membership for seq {}",
-                    r.seq
-                );
-            } else {
-                assert_eq!(m.starved_pos, NIL, "non-candidate in starved set");
             }
         }
         assert_eq!(self.elig_count, elig, "eligible count");
@@ -956,6 +953,7 @@ impl CandidateIndex {
             first_eligible,
             "eligible-head cursor"
         );
+        assert_eq!(self.head_bypass, head_count, "cursor bypass count");
         assert_eq!(self.active.len(), counts.len(), "active instruction set");
         for &raw in &self.active {
             let a = &self.instr[raw as usize];

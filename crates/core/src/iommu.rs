@@ -265,7 +265,13 @@ pub struct PendingWalkSnapshot {
     pub seq: u64,
     /// Shared per-instruction score.
     pub score: u32,
-    /// Aging bypass counter.
+    /// Aging bypass count, derived from the candidate index in either
+    /// selection mode ([`CandidateIndex::bypass_counts`]). For an entry
+    /// whose page has no walk in flight, this is the paper's counter: the
+    /// younger requests picked ahead of it. An entry whose page went in
+    /// flight keeps counting younger picks that bypassed some eligible
+    /// request; it will complete by piggyback, so its count never drives a
+    /// decision.
     pub bypassed: u64,
 }
 
@@ -532,13 +538,14 @@ impl<W> Iommu<W> {
         let oldest: Vec<PendingWalkSnapshot> = self
             .buffer
             .iter()
+            .zip(self.index.bypass_counts(&self.buffer))
             .take(IommuSnapshot::OLDEST_CAP)
-            .map(|(_, r)| PendingWalkSnapshot {
+            .map(|((_, r), bypassed)| PendingWalkSnapshot {
                 page: r.page.raw(),
                 instr: r.instr.raw(),
                 seq: r.seq,
                 score: r.score,
-                bypassed: r.bypassed,
+                bypassed,
             })
             .collect();
         let walkers = self
@@ -719,7 +726,7 @@ impl<W> Iommu<W> {
             let handle = if self.indexed {
                 match self
                     .scheduler
-                    .select_in_buffer_indexed(&mut self.buffer, &mut self.index)
+                    .select_in_buffer_indexed(&self.buffer, &mut self.index)
                 {
                     IndexedOutcome::Selected(h) => h,
                     IndexedOutcome::NoneEligible => {
@@ -796,11 +803,9 @@ impl<W> Iommu<W> {
             });
         match picked {
             Some(handle) => {
-                // The scan's aging loop bumped bypass counters behind the
-                // index's back; fold any newly starved entries into its
-                // starved set before the removal hooks run.
-                let chosen_seq = self.buffer.get(handle).seq;
-                self.index.refresh_starved_below(&self.buffer, chosen_seq);
+                // The scan aged its own per-entry counters; the index keeps
+                // its derived counts in step for later indexed picks.
+                self.index.on_pick(&self.buffer, handle);
                 Some(handle)
             }
             None => {

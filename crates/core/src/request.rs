@@ -26,7 +26,10 @@ pub struct WalkRequest<W> {
     /// Estimated memory accesses to service *all* pending walks of
     /// `instr` (shared across the instruction's buffer entries; 1–256).
     pub score: u32,
-    /// Number of younger requests scheduled ahead of this one (aging).
+    /// Number of younger requests scheduled ahead of this one (aging), as
+    /// counted by the window scan. Indexed selection keeps its counts in
+    /// the [`CandidateIndex`](crate::index::CandidateIndex) instead and
+    /// leaves this at 0.
     pub bypassed: u64,
     /// Caller token released when the translation completes.
     pub waiter: W,

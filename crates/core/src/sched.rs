@@ -257,62 +257,14 @@ impl Scheduler {
         window: &mut [WalkRequest<W>],
         eligible: impl Fn(&WalkRequest<W>) -> bool,
     ) -> Option<usize> {
-        // One pass: gather candidates and the oldest starved request.
         self.scratch.clear();
-        let mut starved: Option<(u64, usize)> = None;
+        let mut starved = None;
         for (i, r) in window.iter().enumerate() {
-            if !eligible(r) {
-                continue;
-            }
-            self.scratch.push(Candidate {
-                index: i,
-                instr: r.instr,
-                seq: r.seq,
-                score: r.score,
-            });
-            if r.is_starved(self.aging_threshold) && starved.is_none_or(|(seq, _)| r.seq < seq) {
-                starved = Some((r.seq, i));
+            if eligible(r) {
+                self.gather(i, r, &mut starved);
             }
         }
-        if self.scratch.is_empty() {
-            return None;
-        }
-
-        // Starved requests pre-empt the policy's choice unless the policy
-        // opts out (FCFS is starvation-free by construction; Random stays
-        // the paper's unmodified "naive random" straw-man).
-        let choice = match starved {
-            Some((_, i)) if self.policy.honors_aging() => i,
-            _ => self.scratch[self.policy.select(&self.scratch)].index,
-        };
-
-        // Aging: every eligible request older than the choice was bypassed.
-        let chosen_seq = window[choice].seq;
-        for c in &self.scratch {
-            if c.seq < chosen_seq {
-                window[c.index].bypassed += 1;
-            }
-        }
-        // Aging bound: under an aging-honoring policy the oldest starved
-        // request pre-empts the pick, so no eligible request can ever be
-        // bypassed past the threshold — it would have been chosen (or be
-        // younger than the chosen starved request, and left untouched).
-        #[cfg(debug_assertions)]
-        if self.policy.honors_aging() {
-            for c in &self.scratch {
-                debug_assert!(
-                    window[c.index].bypassed <= self.aging_threshold,
-                    "request seq {} bypassed {} times, past the aging threshold {}",
-                    c.seq,
-                    window[c.index].bypassed,
-                    self.aging_threshold,
-                );
-            }
-        }
-        let instr = window[choice].instr;
-        self.last_instr = Some(instr);
-        self.policy.on_dispatch(instr);
-        Some(choice)
+        self.decide(window, starved)
     }
 
     /// [`select`](Self::select) over a [`WalkBuffer`] window: considers the
@@ -338,63 +290,64 @@ impl Scheduler {
         // no starved request can override it, and the aging loop is a
         // no-op (nothing eligible is older than the pick). Scanning can
         // therefore stop at the first hit instead of walking the window.
-        if self.policy.picks_oldest() && !self.policy.honors_aging() {
-            let mut cursor = buf.first();
-            for _ in 0..window_len {
-                let Some(h) = cursor else { break };
-                cursor = buf.next(h);
-                buf.prefetch(cursor);
-                let r = buf.get(h);
-                if eligible(r) {
-                    let instr = r.instr;
-                    self.last_instr = Some(instr);
-                    self.policy.on_dispatch(instr);
-                    return Some(h);
-                }
-            }
-            return None;
-        }
-
-        // One pass: gather candidates and the oldest starved request.
+        let oldest_only = self.policy.picks_oldest() && !self.policy.honors_aging();
         self.scratch.clear();
-        let mut starved: Option<(u64, u32)> = None;
+        let mut starved = None;
         let mut cursor = buf.first();
         for _ in 0..window_len {
             let Some(h) = cursor else { break };
             cursor = buf.next(h);
             buf.prefetch(cursor);
             let r = buf.get(h);
-            if eligible(r) {
-                self.scratch.push(Candidate {
-                    index: h as usize,
-                    instr: r.instr,
-                    seq: r.seq,
-                    score: r.score,
-                });
-                if r.is_starved(self.aging_threshold) && starved.is_none_or(|(seq, _)| r.seq < seq)
-                {
-                    starved = Some((r.seq, h));
-                }
+            if !eligible(r) {
+                continue;
             }
+            if oldest_only {
+                self.dispatch(r.instr);
+                return Some(h);
+            }
+            self.gather(h as usize, r, &mut starved);
         }
+        self.decide(buf, starved).map(|i| i as u32)
+    }
+
+    /// Adds `r` (at `index`) to the candidates, tracking the oldest
+    /// starved one.
+    fn gather<W>(&mut self, index: usize, r: &WalkRequest<W>, starved: &mut Option<(u64, usize)>) {
+        self.scratch.push(Candidate {
+            index,
+            instr: r.instr,
+            seq: r.seq,
+            score: r.score,
+        });
+        if r.is_starved(self.aging_threshold) && starved.is_none_or(|(seq, _)| r.seq < seq) {
+            *starved = Some((r.seq, index));
+        }
+    }
+
+    /// The shared tail of both scans, once the candidates are gathered:
+    /// picks, ages, and notifies. Returns the chosen [`Candidate::index`].
+    fn decide<W>(
+        &mut self,
+        reqs: &mut (impl Requests<W> + ?Sized),
+        starved: Option<(u64, usize)>,
+    ) -> Option<usize> {
         if self.scratch.is_empty() {
             return None;
         }
-
         // Starved requests pre-empt the policy's choice unless the policy
         // opts out (FCFS is starvation-free by construction; Random stays
         // the paper's unmodified "naive random" straw-man).
         let choice = match starved {
-            Some((_, h)) if self.policy.honors_aging() => h,
-            _ => self.scratch[self.policy.select(&self.scratch)].index as u32,
+            Some((_, i)) if self.policy.honors_aging() => i,
+            _ => self.scratch[self.policy.select(&self.scratch)].index,
         };
 
         // Aging: every eligible request older than the choice was bypassed.
-        let chosen_seq = buf.get(choice).seq;
-        for i in 0..self.scratch.len() {
-            let c = self.scratch[i];
+        let chosen_seq = reqs.at(choice).seq;
+        for c in &self.scratch {
             if c.seq < chosen_seq {
-                buf.get_mut(c.index as u32).bypassed += 1;
+                reqs.at(c.index).bypassed += 1;
             }
         }
         // Aging bound: under an aging-honoring policy the oldest starved
@@ -405,18 +358,21 @@ impl Scheduler {
         if self.policy.honors_aging() {
             for c in &self.scratch {
                 debug_assert!(
-                    buf.get(c.index as u32).bypassed <= self.aging_threshold,
+                    reqs.at(c.index).bypassed <= self.aging_threshold,
                     "request seq {} bypassed {} times, past the aging threshold {}",
                     c.seq,
-                    buf.get(c.index as u32).bypassed,
+                    reqs.at(c.index).bypassed,
                     self.aging_threshold,
                 );
             }
         }
-        let instr = buf.get(choice).instr;
+        self.dispatch(reqs.at(choice).instr);
+        Some(choice)
+    }
+
+    fn dispatch(&mut self, instr: InstrId) {
         self.last_instr = Some(instr);
         self.policy.on_dispatch(instr);
-        Some(choice)
     }
 
     /// [`select_in_buffer`](Self::select_in_buffer) answered from the
@@ -426,15 +382,17 @@ impl Scheduler {
     /// the [`index`](crate::index) module docs for the update contract);
     /// eligibility is the index's blocked flag, i.e. "no walk in flight for
     /// the page". Decisions — pick, policy-state updates, RNG stream
-    /// consumption, bypass counters — are bit-identical to the scan path;
-    /// `tests/indexed_selection_oracle.rs` pins this differentially.
+    /// consumption, starvation pre-emption — are bit-identical to the scan
+    /// path; `tests/indexed_selection_oracle.rs` pins this differentially.
+    /// Bypass counts live in the index ([`CandidateIndex::on_pick`]), not
+    /// in [`WalkRequest::bypassed`], which only the scan path advances.
     ///
     /// Returns [`IndexedOutcome::Unsupported`] (before any side effect)
     /// when the active policy has no [`WalkPolicy::indexed_select`] form;
     /// the caller then falls back to the scan path for this call.
     pub fn select_in_buffer_indexed<W>(
         &mut self,
-        buf: &mut WalkBuffer<W>,
+        buf: &WalkBuffer<W>,
         index: &mut CandidateIndex,
     ) -> IndexedOutcome {
         if self.policy.indexed_select().is_none() {
@@ -448,11 +406,7 @@ impl Scheduler {
         // Starved requests pre-empt the policy's choice (same gate as the
         // scan path). When one wins, the policy's own selection machinery
         // is never consulted: no RNG draw, no rotation-cursor move.
-        let starved = if honors {
-            index.oldest_starved(buf)
-        } else {
-            None
-        };
+        let starved = if honors { index.starved_head() } else { None };
         let choice = match starved {
             Some(h) => h,
             None => {
@@ -496,17 +450,35 @@ impl Scheduler {
         };
 
         // Aging: every eligible request older than the choice was bypassed.
-        // An oldest-first policy without aging pre-emption picks the oldest
-        // eligible, so nothing eligible is older — skip the walk entirely
-        // (mirrors the scan path's FCFS early-exit, which skips aging too).
-        if !self.policy.picks_oldest() || honors {
-            let chosen_seq = buf.get(choice).seq;
-            index.age_prefix(buf, chosen_seq, honors);
-        }
-        let instr = buf.get(choice).instr;
-        self.last_instr = Some(instr);
-        self.policy.on_dispatch(instr);
+        index.on_pick(buf, choice);
+        // Aging bound: the oldest eligible request holds the largest count,
+        // and under an aging-honoring policy it pre-empts the pick once it
+        // reaches the threshold — so it can never be bypassed past it.
+        debug_assert!(
+            !honors || index.head_bypass() <= self.aging_threshold,
+            "oldest eligible request bypassed {} times, past the aging threshold {}",
+            index.head_bypass(),
+            self.aging_threshold,
+        );
+        self.dispatch(buf.get(choice).instr);
         IndexedOutcome::Selected(choice)
+    }
+}
+
+/// Mutable access to a scanned request by its [`Candidate::index`].
+trait Requests<W> {
+    fn at(&mut self, index: usize) -> &mut WalkRequest<W>;
+}
+
+impl<W> Requests<W> for [WalkRequest<W>] {
+    fn at(&mut self, index: usize) -> &mut WalkRequest<W> {
+        &mut self[index]
+    }
+}
+
+impl<W> Requests<W> for WalkBuffer<W> {
+    fn at(&mut self, index: usize) -> &mut WalkRequest<W> {
+        self.get_mut(index as u32)
     }
 }
 

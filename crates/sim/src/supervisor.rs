@@ -10,8 +10,9 @@
 //! * the spec travels to the worker as one JSON line on stdin
 //!   ([`crate::wire::encode_spec`]); the worker answers with one line and
 //!   exits;
-//! * a worker that exceeds the per-cell wall-clock timeout is killed and
-//!   reaped, classified [`RunError::WorkerTimeout`];
+//! * a worker that exceeds the per-cell wall-clock timeout is killed with
+//!   its process group (each worker leads its own) and reaped, classified
+//!   [`RunError::WorkerTimeout`];
 //! * a worker that exits nonzero, dies to a signal, or produces no
 //!   decodable response line is classified [`RunError::WorkerDied`] with a
 //!   tail of its stderr;
@@ -31,7 +32,7 @@ use std::io::{BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -53,6 +54,10 @@ const STDERR_TAIL_BYTES: usize = 512;
 
 /// Poll interval while waiting on a child with a deadline.
 const REAP_POLL: Duration = Duration::from_millis(10);
+
+/// How long to wait for a worker's output pipes to reach EOF after the
+/// worker itself has exited.
+const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
 /// Per-process CPU affinity, Linux only. Everywhere else
 /// [`affinity::pin_process`] is a no-op that reports failure, so `--pin`
@@ -189,15 +194,21 @@ impl Supervisor {
     /// Runs one spec in one fresh child process: spawn, feed the spec,
     /// drain, wait (bounded by the cell timeout), classify.
     fn run_one(&self, spec: &RunSpec) -> Result<RunResult, RunError> {
-        let mut child = Command::new(&self.command[0])
+        let mut command = Command::new(&self.command[0]);
+        command
             .args(&self.command[1..])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| RunError::WorkerDied {
-                message: format!("spawn of {} failed: {e}", self.command[0]),
-            })?;
+            .stderr(Stdio::piped());
+        // Its own process group, so a timeout can kill whatever the worker
+        // spawned along with it (see `kill_group`). A terminal's Ctrl-C
+        // then reaches only the supervisor: a worker orphaned that way
+        // finishes its one cell and exits on the closed pipe.
+        #[cfg(unix)]
+        std::os::unix::process::CommandExt::process_group(&mut command, 0);
+        let mut child = command.spawn().map_err(|e| RunError::WorkerDied {
+            message: format!("spawn of {} failed: {e}", self.command[0]),
+        })?;
 
         // Pin before feeding the spec so the worker computes on its final
         // CPU from the first instruction that matters. Best-effort: a
@@ -217,25 +228,26 @@ impl Supervisor {
 
         // Drain stdout/stderr on their own threads so a chatty worker can
         // never deadlock against a full pipe buffer while we wait on it.
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let stderr = child.stderr.take().expect("stderr was piped");
-        let out_thread = thread::spawn(move || read_all(stdout));
-        let err_thread = thread::spawn(move || read_all(stderr));
+        let stdout = drain(child.stdout.take().expect("stdout was piped"));
+        let stderr = drain(child.stderr.take().expect("stderr was piped"));
 
         let status = match self.wait_with_deadline(&mut child) {
             Ok(status) => status,
             Err(e) => {
-                // Kill + reap, then join the drainers (the pipes close once
-                // the child is gone, so they terminate promptly).
-                let _ = child.kill();
+                // Kill the whole group and reap the worker. The drainers are
+                // left to finish on their own: they see EOF only once every
+                // holder of the pipes is gone, and a descendant that left
+                // the group may hold them for as long as it lives.
+                kill_group(&mut child);
                 let _ = child.wait();
-                let _ = out_thread.join();
-                let _ = err_thread.join();
                 return Err(e);
             }
         };
-        let stdout = out_thread.join().unwrap_or_default();
-        let stderr = err_thread.join().unwrap_or_default();
+        // The worker has exited, but a descendant it left behind may still
+        // hold the pipes open: wait for EOF only up to a bound.
+        let deadline = Instant::now() + DRAIN_GRACE;
+        let stdout = collect(&stdout, deadline);
+        let stderr = collect(&stderr, deadline);
 
         if !status.success() {
             return Err(RunError::WorkerDied {
@@ -294,10 +306,50 @@ impl CellExecutor for Supervisor {
     }
 }
 
-fn read_all(mut r: impl Read) -> String {
-    let mut buf = String::new();
-    let _ = BufReader::new(&mut r).read_to_string(&mut buf);
-    buf
+/// Reads `r` to EOF on a detached thread; the text arrives on the
+/// returned channel. The thread is never joined, since EOF may not come
+/// while a descendant that left the worker's group holds the pipe; it
+/// owns nothing but the pipe and ignores every error, so it cannot panic.
+fn drain(r: impl Read + Send + 'static) -> mpsc::Receiver<String> {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let mut buf = String::new();
+        let _ = BufReader::new(r).read_to_string(&mut buf);
+        let _ = tx.send(buf);
+    });
+    rx
+}
+
+/// A drainer's text, or an empty string if it has not reached EOF by
+/// `deadline`.
+fn collect(rx: &mpsc::Receiver<String>, deadline: Instant) -> String {
+    rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        .unwrap_or_default()
+}
+
+/// SIGKILLs the process group `child` leads (it was spawned with
+/// `process_group(0)`), so the worker's descendants die with it.
+#[cfg(unix)]
+fn kill_group(child: &mut Child) {
+    // std already links libc; declaring the symbol directly keeps the
+    // zero-third-party-dependency rule intact.
+    unsafe extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGKILL: i32 = 9;
+    match i32::try_from(child.id()) {
+        // SAFETY: `kill` has no memory effects; a negative pid addresses
+        // the group whose id is the worker's pid.
+        Ok(pid) if unsafe { kill(-pid, SIGKILL) } == 0 => {}
+        _ => {
+            let _ = child.kill();
+        }
+    }
+}
+
+#[cfg(not(unix))]
+fn kill_group(child: &mut Child) {
+    let _ = child.kill();
 }
 
 /// The last [`STDERR_TAIL_BYTES`] of `s`, newlines flattened, or a

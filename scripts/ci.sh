@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, release build, tier-1 tests.
+# Offline CI gate: formatting, lints, release build, tier-1 tests, the
+# whole workspace suite, and smoke runs.
 #
 # Everything here runs without network access (the workspace has no
-# third-party dependencies). The full workspace suite is `cargo test
-# --workspace`; tier-1 (the gate) is the root package's integration tests.
+# third-party dependencies). Tier-1 is the root package's integration
+# tests; `cargo test --workspace` adds every crate's unit tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,9 @@ cargo build --release --workspace
 
 echo "== cargo test (tier-1)"
 cargo test -q
+
+echo "== cargo test (whole workspace: every crate's unit tests too)"
+cargo test --workspace --release
 
 echo "== fault-injection smoke run (partial sweep must render and exit nonzero)"
 smoke_out="$(mktemp)"
